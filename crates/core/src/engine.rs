@@ -247,10 +247,14 @@
 //! taints the live region) never cleans up. [`Engine::activate_fragment`]
 //! therefore re-resets every fragment flow to bottom before replaying the
 //! build-time seeds; the purge of the fragment's dynamic dedup pairs at
-//! park time guarantees the re-derive re-pushes every legitimate input. Hence any interleaving of adds, retracts,
-//! edits, and solves converges to the *same least fixpoint* as a fresh solve
-//! of the final configuration — only the path (and the step count, which the
-//! trajectory harness's `resume` and `edit-` rungs measure) differs.
+//! park time guarantees the re-derive re-pushes every legitimate input.
+//! A purged pair is only marked not-live: re-adding it revives the edge it
+//! already has, so re-derivation stores no duplicate edges and the graph
+//! keeps its size across any number of churn events. Hence any
+//! interleaving of adds, retracts, edits, and solves converges to the *same
+//! least fixpoint* as a fresh solve of the final configuration — only the
+//! path (and the step count, which the trajectory harness's `resume` and
+//! `edit-` rungs measure) differs.
 //! `tests/session_resume.rs` and `tests/edit_scripts.rs` enforce the
 //! identity differentially across every solver × scheduler combination.
 //!
@@ -313,7 +317,7 @@ use crate::lattice::{TypeSet, ValueState};
 use crate::metrics::{InterruptStats, InvalidationStats, SchedulerStats};
 use crate::report::{AnalysisResult, ReachableSet, SolveStats};
 use skipflow_ir::{BitSet, FieldId, MethodId, Program, TypeId, TypeRef};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -850,6 +854,10 @@ pub(crate) struct Engine<'p> {
     /// Live injection sources, so invalidation can kill and re-create the
     /// ones whose subscription state became stale.
     injections: Vec<Injection>,
+    /// Killed injection sources by the flow they fed. Invalidation reset
+    /// each to bottom; re-creating an injection for the same target reuses
+    /// one (and revives its edge), so churn never grows the flow arena.
+    idle_injections: HashMap<FlowId, Vec<FlowId>>,
     /// Methods whose bodies are currently masked out (seeded from
     /// [`AnalysisConfig::masked_methods`], mutated by [`Engine::mask_method`]
     /// / [`Engine::unmask_method`]): marked reachable when discovered, but
@@ -952,6 +960,7 @@ impl<'p> Engine<'p> {
             defaulted_fields: BitSet::new(),
             replays: BTreeMap::new(),
             injections: Vec::new(),
+            idle_injections: HashMap::new(),
             masked,
             invalidation: InvalidationStats::default(),
             rederive_base: None,
@@ -1364,7 +1373,17 @@ impl<'p> Engine<'p> {
     /// registered under `owner` so an invalidation that resets the
     /// subscription state can kill and re-create it.
     fn inject(&mut self, target: FlowId, declared: TypeRef, owner: InjectionOwner) {
-        let rs = self.g.add_root_source(declared);
+        let rs = match self.idle_injections.get_mut(&target).and_then(Vec::pop) {
+            Some(rs) => {
+                debug_assert!(matches!(
+                    self.g.flow(rs).kind,
+                    FlowKind::RootSource { declared: d } if d == declared
+                ));
+                self.g.flow_mut(rs).enabled = true;
+                rs
+            }
+            None => self.g.add_root_source(declared),
+        };
         self.sync_queued();
         self.g.add_use_dedup(rs, target);
         self.injections.push(Injection { rs, target, owner });
@@ -2283,9 +2302,11 @@ impl<'p> Engine<'p> {
         // ---- 2. kill stale injections ----------------------------------
         // A tainted root's param injections (and a tainted sink's reflective
         // injection) carry subscription state that may include dead types;
-        // kill them — re-rooting below creates fresh ones.
+        // kill them — re-rooting below re-creates them from the reset
+        // sources parked in `idle_injections`.
         let mut invalidated = BitSet::new();
         let injections = std::mem::take(&mut self.injections);
+        let idle = &mut self.idle_injections;
         self.injections = injections
             .into_iter()
             .filter(|inj| {
@@ -2297,6 +2318,7 @@ impl<'p> Engine<'p> {
                 };
                 if killed {
                     invalidated.insert(inj.rs.index());
+                    idle.entry(inj.target).or_default().push(inj.rs);
                 }
                 !killed
             })
@@ -2337,10 +2359,11 @@ impl<'p> Engine<'p> {
         self.invalidation.invalidated_flows += invalidated.iter().count() as u64;
 
         // ---- 4. purge + reset ------------------------------------------
-        // Only the *dedup set* is purged: the physical CSR edges stay (the
-        // joins they duplicate on re-add are idempotent), but re-adding a
-        // purged pair returns `true` again, which is what makes the
-        // re-wiring below fire its `push_state` seeds.
+        // Only the *dedup entries* are purged (marked not-live): the
+        // physical CSR/spill edges stay and a re-added pair revives its
+        // existing edge instead of storing a second one, but re-adding it
+        // returns `true` again, which is what makes the re-wiring below
+        // fire its `push_state` seeds.
         let _ = self.g.purge_dynamic_use_edges(&invalidated);
         for i in invalidated.iter() {
             let fl = self.g.flow_mut(FlowId::from_index(i));

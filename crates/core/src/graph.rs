@@ -11,7 +11,8 @@
 
 use crate::flow::{CallSite, Flow, FlowId, FlowKind, SiteId};
 use skipflow_ir::{BitSet, BlockId, FieldId, MethodId, TypeRef};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 const NO_SPILL: u32 = u32::MAX;
 
@@ -1102,8 +1103,11 @@ pub struct Pvpg {
     pub methods: BTreeMap<MethodId, MethodGraph>,
     /// Per-field sinks, created on first access.
     field_sinks: HashMap<FieldId, FlowId>,
-    /// Dedup set for dynamically added use edges (field/invoke linking).
-    dynamic_use_edges: HashSet<(FlowId, FlowId)>,
+    /// Dedup map for dynamically added use edges (field/invoke linking):
+    /// one entry per physical edge, `true` while the pair is live and
+    /// `false` once an invalidation purged it (see
+    /// [`Pvpg::purge_dynamic_use_edges`]).
+    dynamic_use_edges: HashMap<(FlowId, FlowId), bool>,
     /// Online topological order / SCC maintenance over the value-carrying
     /// edges, kept current through every flow and edge mutation. Enabled by
     /// the engine for the schedulers that read priorities
@@ -1130,7 +1134,7 @@ impl Pvpg {
             unsafe_sink: FlowId(0),
             methods: BTreeMap::new(),
             field_sinks: HashMap::new(),
-            dynamic_use_edges: HashSet::new(),
+            dynamic_use_edges: HashMap::new(),
             topo: None,
             topo_deferred: Vec::new(),
         };
@@ -1193,41 +1197,49 @@ impl Pvpg {
 
     /// Adds a use edge with deduplication (for edges discovered during
     /// solving: field accesses and invoke linking); goes straight to the
-    /// spill arena. Returns `true` if the edge is new.
+    /// spill arena. Returns `true` if the edge is new — or was purged since
+    /// it was last added, in which case it is revived in place: its
+    /// physical edge and its place in the online order never went away, so
+    /// only the live mark flips and each pair keeps exactly one edge.
     pub fn add_use_dedup(&mut self, s: FlowId, t: FlowId) -> bool {
-        if self.dynamic_use_edges.insert((s, t)) {
-            let n = self.flows.len();
-            self.uses.push_spill(s, t, n);
-            if self.uses.pending.is_empty() && self.observes.pending.is_empty() {
-                if let Some(topo) = self.topo.as_mut() {
-                    topo.insert_edge(s, t, &self.uses, &self.observes);
+        match self.dynamic_use_edges.entry((s, t)) {
+            Entry::Occupied(mut pair) => !std::mem::replace(pair.get_mut(), true),
+            Entry::Vacant(pair) => {
+                pair.insert(true);
+                let n = self.flows.len();
+                self.uses.push_spill(s, t, n);
+                if self.uses.pending.is_empty() && self.observes.pending.is_empty() {
+                    if let Some(topo) = self.topo.as_mut() {
+                        topo.insert_edge(s, t, &self.uses, &self.observes);
+                    }
+                } else if self.topo.is_some() {
+                    // A construction batch is open (static-field / unsafe
+                    // wiring happens mid-build): the order absorbs the edge
+                    // at seal time, together with the batch.
+                    self.topo_deferred.push((s, t));
                 }
-            } else if self.topo.is_some() {
-                // A construction batch is open (static-field / unsafe
-                // wiring happens mid-build): the order absorbs the edge
-                // at seal time, together with the batch.
-                self.topo_deferred.push((s, t));
+                true
             }
-            true
-        } else {
-            false
         }
     }
 
-    /// Drops every dynamically discovered use edge with an endpoint in
-    /// `invalidated` from the dedup set, so invalidated wiring is
-    /// re-discoverable: the next `add_use_dedup` for such a pair reports it
-    /// as new again and the caller re-runs its edge-added action
-    /// (`push_state`). The physical CSR/spill edges are append-only and stay
-    /// — a re-added pair stores a duplicate edge, which is harmless (joins
-    /// deduplicate state; the order repair of an existing direction is a
-    /// no-op) and bounded by the number of retraction/edit events. Returns
-    /// how many pairs were dropped.
+    /// Marks every live dynamically discovered use edge with an endpoint in
+    /// `invalidated` as purged, so invalidated wiring is re-discoverable:
+    /// the next `add_use_dedup` for such a pair reports it as new again and
+    /// the caller re-runs its edge-added action (`push_state`). The physical
+    /// CSR/spill edges are append-only and stay; re-adding a purged pair
+    /// revives its entry instead of storing a second edge, so the edge
+    /// pools stay one edge per pair however many retraction/edit events a
+    /// session absorbs. Returns how many pairs were purged.
     pub fn purge_dynamic_use_edges(&mut self, invalidated: &BitSet) -> usize {
-        let before = self.dynamic_use_edges.len();
-        self.dynamic_use_edges
-            .retain(|&(s, t)| !invalidated.contains(s.index()) && !invalidated.contains(t.index()));
-        before - self.dynamic_use_edges.len()
+        let mut purged = 0;
+        for (&(s, t), live) in self.dynamic_use_edges.iter_mut() {
+            if *live && (invalidated.contains(s.index()) || invalidated.contains(t.index())) {
+                *live = false;
+                purged += 1;
+            }
+        }
+        purged
     }
 
     /// Adds a predicate edge `s ⇝pred t` (construction-time, buffered).
@@ -1652,6 +1664,25 @@ mod tests {
         assert!(g.add_use_dedup(a, b));
         assert!(!g.add_use_dedup(a, b));
         assert_eq!(g.use_targets(a).count(), 1);
+    }
+
+    #[test]
+    fn purged_pairs_revive_without_a_second_edge() {
+        let mut g = Pvpg::new();
+        let a = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        let b = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        let c = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        assert!(g.add_use_dedup(a, b));
+        assert!(g.add_use_dedup(c, a));
+        let mut invalidated = BitSet::new();
+        invalidated.insert(b.index());
+        assert_eq!(g.purge_dynamic_use_edges(&invalidated), 1);
+        assert_eq!(g.purge_dynamic_use_edges(&invalidated), 0, "already purged");
+        assert!(g.add_use_dedup(a, b), "a purged pair is new again");
+        assert!(!g.add_use_dedup(a, b), "and live once re-added");
+        assert!(!g.add_use_dedup(c, a), "untouched pairs stay live");
+        assert_eq!(g.use_targets(a).count(), 1, "one physical edge per pair");
+        assert_eq!(g.edge_counts().0, 2);
     }
 
     #[test]

@@ -53,10 +53,13 @@
 //! [`AnalysisError::WorkerPanicked`], and the session degrades to
 //! sequential solving while staying fully usable.
 //!
-//! For serving, [`AnalysisSession::owned_snapshot`] clones the current
-//! state into an [`OwnedSnapshot`] — an `Arc`-backed, `Send + Sync`,
-//! cheaply clonable form of the fixpoint that reader threads can query
-//! (it implements [`CallGraphQuery`]) while the session keeps solving.
+//! For serving, [`AnalysisSession::owned_snapshot`] extracts the current
+//! answers into an [`OwnedSnapshot`] — a `Send + Sync` value holding the
+//! reachable set, the instantiated types, the precomputed call-edge and
+//! PolyCalls counts, the solver statistics and the completeness tag, and
+//! nothing of the PVPG. Building one costs O(reachable methods + types +
+//! call sites); every [`CallGraphQuery`] on it is O(1) or a bitset probe,
+//! so reader threads answer from it while the session keeps solving.
 //! The `skipflow-server` crate builds its epoch-based publication and
 //! multi-session registry on exactly this primitive.
 //!

@@ -107,7 +107,7 @@ impl CallGraphQuery for AnalysisSnapshot<'_> {
     }
 
     fn call_edge_count(&self) -> usize {
-        self.call_graph_edges().len()
+        AnalysisSnapshot::call_edge_count(self)
     }
 
     fn poly_call_count(&self) -> usize {
@@ -133,7 +133,7 @@ impl CallGraphQuery for AnalysisResult {
     }
 
     fn call_edge_count(&self) -> usize {
-        self.snapshot().call_graph_edges().len()
+        self.snapshot().call_edge_count()
     }
 
     fn poly_call_count(&self) -> usize {
@@ -147,7 +147,7 @@ impl CallGraphQuery for OwnedSnapshot {
     }
 
     fn is_reachable(&self, m: MethodId) -> bool {
-        self.result().is_reachable(m)
+        OwnedSnapshot::is_reachable(self, m)
     }
 
     fn reachable_count(&self) -> usize {
@@ -159,11 +159,11 @@ impl CallGraphQuery for OwnedSnapshot {
     }
 
     fn call_edge_count(&self) -> usize {
-        self.view().call_graph_edges().len()
+        OwnedSnapshot::call_edge_count(self)
     }
 
     fn poly_call_count(&self) -> usize {
-        self.view().poly_call_sites()
+        OwnedSnapshot::poly_call_count(self)
     }
 }
 

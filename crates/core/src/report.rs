@@ -11,6 +11,10 @@
 //!   (or the [`crate::analyze`] convenience wrapper). It stores the final
 //!   PVPG and delegates every query to an internal snapshot.
 //!
+//! [`OwnedSnapshot`] is the answer-sized form a server publishes: the
+//! reachable set, instantiated types, and precomputed counts, without the
+//! PVPG.
+//!
 //! Reachability is stored as a [`ReachableSet`] — a bitset for O(1)
 //! membership plus a sorted id vector for deterministic iteration.
 
@@ -371,19 +375,38 @@ impl<'a> AnalysisSnapshot<'a> {
         n
     }
 
-    /// Clones this view into an [`OwnedSnapshot`] suitable for publication
-    /// across threads (the serving seam used by `skipflow-server`). The
-    /// clone copies the PVPG once; every subsequent [`OwnedSnapshot::clone`]
-    /// is an `Arc` bump.
+    /// The number of call-graph edges — `call_graph_edges().len()`, counted
+    /// in one pass over the call sites without building the edge list.
+    pub fn call_edge_count(&self) -> usize {
+        let mut n = 0;
+        for mg in self.graph.methods.values() {
+            for &site in &mg.sites {
+                let s = self.graph.site(site);
+                if self.graph.flow(s.flow).enabled {
+                    n += s.linked.len();
+                }
+            }
+        }
+        n
+    }
+
+    /// Extracts the answers of this view into an [`OwnedSnapshot`] suitable
+    /// for publication across threads (the serving seam used by
+    /// `skipflow-server`). Costs O(reachable methods + types + call sites);
+    /// nothing of the PVPG is copied.
     pub fn to_owned_snapshot(&self) -> OwnedSnapshot {
-        OwnedSnapshot::from(AnalysisResult::new(
-            self.graph.clone(),
-            self.reachable.clone(),
-            self.instantiated.clone(),
-            self.config.clone(),
-            self.stats.clone(),
-            self.completeness,
-        ))
+        // The arena size now, as `AnalysisResult::new` records it (roots
+        // added since the last solve may have created flows).
+        let mut stats = self.stats.clone();
+        stats.flows = self.graph.flow_count();
+        OwnedSnapshot {
+            reachable: self.reachable.clone(),
+            instantiated: self.instantiated.clone(),
+            call_edge_count: self.call_edge_count(),
+            poly_call_count: self.poly_call_sites(),
+            stats,
+            completeness: self.completeness,
+        }
     }
 
     /// Renders the call graph as Graphviz `dot` (method-level nodes;
@@ -557,65 +580,74 @@ impl AnalysisResult {
     }
 }
 
-/// An owned, cheaply clonable snapshot for cross-thread publication.
+/// The answers of one fixpoint, owned, for cross-thread publication.
 ///
 /// [`AnalysisSnapshot`] borrows a paused session, so it cannot outlive the
 /// solve loop that produced it; a server that answers queries *while* the
 /// next solve runs needs a form it can hand to reader threads. An
-/// `OwnedSnapshot` wraps an [`AnalysisResult`] in an `Arc`:
+/// `OwnedSnapshot` holds exactly what the serving protocol answers and
+/// nothing of the PVPG:
 ///
+/// * the reachable set and the instantiated-type bitset (membership is a
+///   bitset probe), the call-edge and PolyCalls counts (precomputed), the
+///   solver statistics, and the completeness tag;
 /// * building one ([`AnalysisSnapshot::to_owned_snapshot`] or
 ///   [`AnalysisSession::owned_snapshot`](crate::AnalysisSession::owned_snapshot))
-///   deep-copies the PVPG once, on the writer's thread;
-/// * cloning one is a reference-count bump, so publication schemes (e.g. the
-///   epoch cell in `skipflow-server`) can hand a clone to every concurrent
-///   reader without blocking or re-copying;
-/// * it is `Send + Sync` and implements [`crate::CallGraphQuery`], and
-///   [`OwnedSnapshot::view`] recovers the full borrowed query surface.
+///   costs O(reachable methods + types + call sites) on the writer's
+///   thread, and its size follows the answers, not the graph;
+/// * it is `Send + Sync` and implements [`crate::CallGraphQuery`] with
+///   every query O(1) or a bitset probe.
+///
+/// Per-flow state (value states, liveness, call-site targets) is not
+/// published; query a session's [`AnalysisSnapshot`] or an
+/// [`AnalysisResult`] for it.
 #[derive(Clone, Debug)]
 pub struct OwnedSnapshot {
-    inner: std::sync::Arc<AnalysisResult>,
+    reachable: ReachableSet,
+    instantiated: BitSet,
+    call_edge_count: usize,
+    poly_call_count: usize,
+    stats: SolveStats,
+    completeness: Completeness,
 }
 
 impl OwnedSnapshot {
-    /// A borrowed view carrying the full query surface.
-    pub fn view(&self) -> AnalysisSnapshot<'_> {
-        self.inner.snapshot()
-    }
-
-    /// The underlying owned result.
-    pub fn result(&self) -> &AnalysisResult {
-        &self.inner
-    }
-
     /// Whether the snapshot is a reached fixpoint or an interrupted
     /// checkpoint; see [`AnalysisSnapshot::completeness`].
     pub fn completeness(&self) -> Completeness {
-        self.inner.completeness()
+        self.completeness
     }
 
     /// Solver statistics at the time the snapshot was taken.
     pub fn stats(&self) -> &SolveStats {
-        self.inner.stats()
+        &self.stats
     }
 
     /// The set of reachable methods.
     pub fn reachable_methods(&self) -> &ReachableSet {
-        self.inner.reachable_methods()
+        &self.reachable
     }
 
-    /// Whether two handles share the same underlying allocation (used by
-    /// publication tests; cheaper than comparing contents).
-    pub fn ptr_eq(&self, other: &OwnedSnapshot) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner)
+    /// Whether `m` was marked reachable (O(1)).
+    pub fn is_reachable(&self, m: MethodId) -> bool {
+        self.reachable.contains(m)
     }
-}
 
-impl From<AnalysisResult> for OwnedSnapshot {
-    fn from(result: AnalysisResult) -> Self {
-        OwnedSnapshot {
-            inner: std::sync::Arc::new(result),
-        }
+    /// Whether any enabled `new T` for this exact type was reached.
+    pub fn is_instantiated(&self, t: TypeId) -> bool {
+        self.instantiated.contains(t.index())
+    }
+
+    /// The number of call-graph edges (precomputed; see
+    /// [`AnalysisSnapshot::call_edge_count`]).
+    pub fn call_edge_count(&self) -> usize {
+        self.call_edge_count
+    }
+
+    /// Enabled virtual call sites with two or more resolved targets
+    /// (precomputed; see [`AnalysisSnapshot::poly_call_sites`]).
+    pub fn poly_call_count(&self) -> usize {
+        self.poly_call_count
     }
 }
 

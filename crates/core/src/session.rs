@@ -595,11 +595,12 @@ impl<'p> AnalysisSession<'p> {
         )
     }
 
-    /// Clones the current state into an [`OwnedSnapshot`] that can outlive
-    /// the session and cross threads — the publication primitive a server
-    /// uses to keep answering queries against the last fixpoint while this
-    /// session solves the next one. The clone copies the PVPG once (writer
-    /// cost, off the reader path); see [`AnalysisSnapshot::to_owned_snapshot`].
+    /// Extracts the current answers into an [`OwnedSnapshot`] that can
+    /// outlive the session and cross threads — the publication primitive a
+    /// server uses to keep answering queries against the last fixpoint
+    /// while this session solves the next one. Costs O(reachable methods +
+    /// types + call sites) on the writer's thread and copies nothing of the
+    /// PVPG; see [`AnalysisSnapshot::to_owned_snapshot`].
     pub fn owned_snapshot(&self) -> OwnedSnapshot {
         self.snapshot().to_owned_snapshot()
     }

@@ -72,6 +72,10 @@
 //! and then reports a complete epoch, so `roots` → `flush` → `query` is the
 //! read-your-writes sequence.
 //!
+//! Each response line leaves in one segment on a `TCP_NODELAY` socket, and
+//! pipelined requests are answered in order; every `query` is O(1) or a
+//! bitset probe against the published epoch.
+//!
 //! ## Example session
 //!
 //! ```text

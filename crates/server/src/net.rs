@@ -84,9 +84,14 @@ fn serve_connection(
     running: &AtomicBool,
     listener_addr: SocketAddr,
 ) -> io::Result<()> {
+    // Each response leaves as one segment the moment it is written: with
+    // Nagle on, a response sent while the peer's delayed ACK for the
+    // previous one is pending would wait out that timer (~40 ms).
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::with_capacity(256);
+    let mut out = Vec::with_capacity(256);
     loop {
         buf.clear();
         // Read one line with a hard cap: `read_until` on an unbounded
@@ -108,10 +113,8 @@ fn serve_connection(
             // request parses from a clean boundary, answer structurally,
             // and keep serving.
             discard_to_newline(&mut reader)?;
-            writer.write_all(
-                format!("err proto: request line exceeds {MAX_LINE_BYTES} bytes\n").as_bytes(),
-            )?;
-            writer.flush()?;
+            let msg = format!("err proto: request line exceeds {MAX_LINE_BYTES} bytes");
+            write_line(&mut writer, &mut out, &msg)?;
             continue;
         }
         // else: truncated input (EOF without a newline) — serve what
@@ -119,8 +122,7 @@ fn serve_connection(
         let line = match std::str::from_utf8(&buf) {
             Ok(line) => line,
             Err(_) => {
-                writer.write_all(b"err proto: request is not valid UTF-8\n")?;
-                writer.flush()?;
+                write_line(&mut writer, &mut out, "err proto: request is not valid UTF-8")?;
                 continue;
             }
         };
@@ -130,8 +132,7 @@ fn serve_connection(
         let response = match parse_request(line) {
             Err(msg) => format!("err proto: {msg}"),
             Ok(Request::Shutdown) => {
-                writer.write_all(b"ok bye\n")?;
-                writer.flush()?;
+                write_line(&mut writer, &mut out, "ok bye")?;
                 running.store(false, SeqCst);
                 // Unblock the accept loop so `run` observes the flag.
                 let _ = TcpStream::connect(listener_addr);
@@ -139,10 +140,17 @@ fn serve_connection(
             }
             Ok(req) => handle_request(registry, req),
         };
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        write_line(&mut writer, &mut out, &response)?;
     }
+}
+
+/// Writes `line` and its `\n` with a single `write_all` from the reused
+/// `out` buffer, so each line leaves as one segment.
+fn write_line(writer: &mut TcpStream, out: &mut Vec<u8>, line: &str) -> io::Result<()> {
+    out.clear();
+    out.extend_from_slice(line.as_bytes());
+    out.push(b'\n');
+    writer.write_all(out)
 }
 
 /// Consumes input through the next `\n` (or EOF) without buffering it —
@@ -441,21 +449,24 @@ fn apply_opts(
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Reused request buffer (line plus `\n`).
+    out: Vec<u8>,
 }
 
 impl Client {
-    /// Connects to a running server.
+    /// Connects to a running server (with `TCP_NODELAY`, like the server's
+    /// own end of the connection).
     pub fn connect(addr: &SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
-        Ok(Client { writer, reader: BufReader::new(stream) })
+        Ok(Client { writer, reader: BufReader::new(stream), out: Vec::with_capacity(256) })
     }
 
-    /// Sends one request line and returns the response line.
+    /// Sends one request line (with its `\n`, in one write) and returns the
+    /// response line.
     pub fn request(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, &mut self.out, line)?;
         let mut response = String::new();
         self.reader.read_line(&mut response)?;
         Ok(response.trim_end().to_string())

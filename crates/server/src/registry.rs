@@ -23,7 +23,7 @@
 //!   Because retraction and edits are non-monotone, **epochs are not
 //!   monotone either**: a later epoch may cover fewer roots and reach fewer
 //!   methods than an earlier one. Each epoch is internally consistent — a
-//!   `Complete` epoch is bit-identical to a fresh solve of exactly
+//!   `Complete` epoch carries exactly the answers of a fresh solve of
 //!   [`PublishedEpoch::roots`] under [`PublishedEpoch::masked`] — but
 //!   clients comparing answers *across* epochs must key them by
 //!   [`PublishedEpoch::epoch`], never assume set inclusion.
@@ -36,8 +36,13 @@
 //! Because the writer drains the queue *before* solving, the session's own
 //! pending-root list is empty at publish time: the completeness tag of every
 //! published epoch is exact for the roots it covers, which is what lets the
-//! stress test assert each `Complete` epoch bit-identical to a fresh union
+//! stress test assert each `Complete` epoch's answers identical to a fresh
 //! solve of [`PublishedEpoch::roots`].
+//!
+//! Publication costs what the answers cost: the writer extracts an
+//! answer-sized [`OwnedSnapshot`] (reachable set, instantiated types,
+//! precomputed call-edge and PolyCalls counts) in O(reachable methods +
+//! types + call sites), never a copy of the PVPG.
 
 use crate::gate::{SessionGate, Settle, WriterStep};
 use crate::publish::EpochCell;
@@ -145,7 +150,7 @@ pub enum SessionOp {
 }
 
 /// One published fixpoint: the epoch number, the configuration it covers
-/// (roots + masked bodies), and the owned snapshot readers query.
+/// (roots + masked bodies), and the answer-sized snapshot readers query.
 /// `Arc`-published through the epoch cell; cloning is cheap.
 ///
 /// Epochs are **not monotone** across retractions and edits — see the
@@ -161,8 +166,9 @@ pub struct PublishedEpoch {
     /// published, in id order — the mask a fresh oracle needs
     /// ([`AnalysisConfig::with_masked_methods`]) to reproduce it.
     pub masked: Vec<MethodId>,
-    /// The queryable fixpoint (or checkpoint, when
-    /// [`PublishedEpoch::is_complete`] is false).
+    /// The answers of the fixpoint (or checkpoint, when
+    /// [`PublishedEpoch::is_complete`] is false) that every query verb
+    /// reads.
     pub snapshot: OwnedSnapshot,
 }
 

@@ -1,7 +1,7 @@
 //! Registry behavior: admission control, memory-budget eviction, cancel /
 //! flush semantics, and the protocol layer driven in-process.
 
-use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness};
+use skipflow_core::{analyze, AnalysisConfig, CallGraphQuery, Completeness};
 use skipflow_ir::frontend::compile;
 use skipflow_server::{handle_request, parse_request, Registry, ServerConfig, ServerError};
 use skipflow_modelcheck::sync::Arc;
@@ -138,7 +138,30 @@ fn cancel_pauses_and_flush_resumes_to_complete() {
     // Whatever state the cancel left behind, an explicit flush drains it.
     let settled = registry.flush("s", Duration::from_secs(10)).unwrap();
     assert!(settled.is_complete());
-    assert_eq!(settled.snapshot.result().completeness(), Completeness::Complete);
+    assert_eq!(settled.snapshot.completeness(), Completeness::Complete);
+}
+
+/// The counts an epoch precomputes at publication equal the ones walked off
+/// a fresh result's call graph.
+#[test]
+fn published_counts_match_a_fresh_snapshot() {
+    let spec = skipflow_synth::suites::by_name("lusearch").expect("suite benchmark");
+    let bench = skipflow_synth::build_benchmark(&spec);
+    let config = AnalysisConfig::skipflow().with_reflective_roots(bench.reflective_roots.clone());
+    let program = Arc::new(bench.program);
+    let registry = Registry::new(ServerConfig::default());
+    registry.open("s", program.clone(), config.clone()).unwrap();
+    registry.add_roots("s", bench.roots.clone()).unwrap();
+    let settled = registry.flush("s", Duration::from_secs(30)).unwrap();
+    assert!(settled.is_complete());
+
+    let fresh = analyze(&program, &bench.roots, &config);
+    let view = fresh.snapshot();
+    assert!(view.poly_call_sites() > 0, "the program has polymorphic sites");
+    assert_eq!(settled.snapshot.call_edge_count(), view.call_graph_edges().len());
+    assert_eq!(settled.snapshot.poly_call_count(), view.poly_call_sites());
+    assert_eq!(settled.snapshot.reachable_count(), view.reachable_methods().len());
+    assert_eq!(settled.snapshot.reachable_ids(), view.reachable_methods().as_slice());
 }
 
 #[test]

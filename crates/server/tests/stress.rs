@@ -5,16 +5,20 @@
 //! The correctness contract checked here is the one the server's epoch
 //! publication promises:
 //!
-//! * every published `Complete` epoch is **bit-identical** to a fresh solve
-//!   of exactly the configuration it covers — its roots under its mask (the
-//!   checkpoint invariant, observed through the publication seam; the
-//!   retraction and edit streams make successive epochs non-monotone);
-//! * every published `Partial` epoch (budget/cancel checkpoint) is a sound
-//!   under-approximation of that fresh solve;
+//! * every published `Complete` epoch carries exactly the answers of a
+//!   fresh solve of the configuration it covers — its roots under its mask
+//!   (the checkpoint invariant, observed through the publication seam; the
+//!   retraction and edit streams make successive epochs non-monotone): the
+//!   reachable set, the instantiated types, the call-edge count and the
+//!   PolyCalls count;
+//! * every published `Partial` epoch (budget/cancel checkpoint) refines
+//!   that fresh solve on each of those answers;
 //! * epochs observed by concurrent readers are monotone — publication never
 //!   goes backwards, and readers are never handed a torn snapshot.
 
-use skipflow_core::{analyze, AnalysisConfig, AnalysisResult, Completeness, SchedulerKind};
+use skipflow_core::{
+    analyze, AnalysisConfig, AnalysisResult, CallGraphQuery, Completeness, OwnedSnapshot, SchedulerKind,
+};
 use skipflow_ir::{Program, TypeId};
 use skipflow_server::{PublishedEpoch, Registry, ServerConfig};
 use skipflow_synth::{build_benchmark, pick_spread_roots, suites};
@@ -24,73 +28,23 @@ use std::collections::BTreeMap;
 use std::thread;
 use std::time::Duration;
 
-/// Full observable comparison of two analysis results (the same contract as
-/// the workspace-level differential tests): reachable set, instantiated
-/// types, per-method value states, liveness, per-statement states and
-/// enablement, linked call targets, and the counter metrics.
-fn assert_results_identical(program: &Program, a: &AnalysisResult, b: &AnalysisResult, label: &str) {
-    assert_eq!(a.reachable_methods(), b.reachable_methods(), "{label}: reachable sets differ");
+/// A published `Complete` epoch carries exactly the fresh fixpoint's
+/// answers: reachable set, instantiated types, call-edge and PolyCalls
+/// counts. (Per-flow state is not published; its incremental-vs-fresh
+/// identity is gated by the session-level differential tests.)
+fn assert_answers_identical(program: &Program, ep: &OwnedSnapshot, fresh: &AnalysisResult, label: &str) {
+    assert_eq!(ep.reachable_methods(), fresh.reachable_methods(), "{label}: reachable sets differ");
     for t in 0..program.type_count() {
         let t = TypeId::from_index(t);
-        assert_eq!(a.is_instantiated(t), b.is_instantiated(t), "{label}: instantiated({t:?}) differs");
+        assert_eq!(ep.is_instantiated(t), fresh.is_instantiated(t), "{label}: instantiated({t:?}) differs");
     }
-    for &m in a.reachable_methods() {
-        let md = program.method(m);
-        for i in 0..md.param_count() {
-            assert_eq!(
-                a.param_state(m, i),
-                b.param_state(m, i),
-                "{label}: param state {}#{i} differs",
-                program.method_label(m)
-            );
-        }
-        assert_eq!(
-            a.return_state(m),
-            b.return_state(m),
-            "{label}: return state of {} differs",
-            program.method_label(m)
-        );
-        assert_eq!(
-            a.live_blocks(m),
-            b.live_blocks(m),
-            "{label}: liveness of {} differs",
-            program.method_label(m)
-        );
-        if let Some(body) = &md.body {
-            for (bi, block) in body.iter_blocks() {
-                for si in 0..block.stmts.len() {
-                    assert_eq!(
-                        a.stmt_state(m, bi, si),
-                        b.stmt_state(m, bi, si),
-                        "{label}: stmt state {}/{bi:?}/{si} differs",
-                        program.method_label(m)
-                    );
-                    assert_eq!(
-                        a.stmt_enabled(m, bi, si),
-                        b.stmt_enabled(m, bi, si),
-                        "{label}: stmt enablement {}/{bi:?}/{si} differs",
-                        program.method_label(m)
-                    );
-                }
-            }
-        }
-        let sites_a = a.call_sites(m);
-        let sites_b = b.call_sites(m);
-        assert_eq!(sites_a.len(), sites_b.len(), "{label}: site counts differ");
-        for (sa, sb) in sites_a.iter().zip(sites_b.iter()) {
-            assert_eq!(sa.enabled, sb.enabled, "{label}: site enablement differs");
-            let mut ta = sa.targets.clone();
-            let mut tb = sb.targets.clone();
-            ta.sort_unstable();
-            tb.sort_unstable();
-            assert_eq!(ta, tb, "{label}: linked targets differ in {}", program.method_label(m));
-        }
-    }
-    assert_eq!(a.metrics(program), b.metrics(program), "{label}: metrics differ");
+    assert_eq!(ep.call_edge_count(), fresh.call_edge_count(), "{label}: call-edge counts differ");
+    assert_eq!(ep.poly_call_count(), fresh.poly_call_count(), "{label}: poly-call counts differ");
 }
 
-/// A published epoch is sound w.r.t. the fresh fixpoint over its roots.
-fn assert_partial_refines(program: &Program, partial: &AnalysisResult, full: &AnalysisResult, label: &str) {
+/// A published `Partial` epoch is sound w.r.t. the fresh fixpoint over its
+/// roots: every answer it carries refines the fixpoint's.
+fn assert_partial_refines(program: &Program, partial: &OwnedSnapshot, full: &AnalysisResult, label: &str) {
     assert!(
         partial.reachable_methods().is_subset(full.reachable_methods()),
         "{label}: partial epoch reaches methods the fixpoint does not"
@@ -101,6 +55,14 @@ fn assert_partial_refines(program: &Program, partial: &AnalysisResult, full: &An
             assert!(full.is_instantiated(t), "{label}: partial epoch instantiates {t:?}, fixpoint does not");
         }
     }
+    assert!(
+        partial.call_edge_count() <= full.call_edge_count(),
+        "{label}: partial epoch has more call edges than the fixpoint"
+    );
+    assert!(
+        partial.poly_call_count() <= full.poly_call_count(),
+        "{label}: partial epoch has more poly calls than the fixpoint"
+    );
 }
 
 const CHURN_SRC: &str = "
@@ -146,9 +108,9 @@ fn stress(scheduler: SchedulerKind, batch_step_budget: Option<u64>) {
                     last = ep.epoch;
                     // The snapshot must be queryable regardless of what the
                     // writer is doing right now.
-                    let view = ep.snapshot.view();
-                    assert_eq!(view.reachable_methods().len(), ep.snapshot.reachable_methods().len());
-                    let _ = view.poly_call_sites();
+                    let snap = &ep.snapshot;
+                    assert_eq!(snap.reachable_count(), snap.reachable_methods().len());
+                    let _ = (snap.call_edge_count(), snap.poly_call_count());
                     observed.lock().unwrap().entry(ep.epoch).or_insert(ep);
                     thread::yield_now();
                 }
@@ -238,8 +200,8 @@ fn stress(scheduler: SchedulerKind, batch_step_budget: Option<u64>) {
     // Verify every observed epoch against a fresh solve of exactly the
     // configuration it covered — its roots *and* its masked bodies: each
     // epoch is the fixpoint of the edit prefix it absorbed, nothing more.
-    // The verification config carries no budgets: `Complete` epochs must be
-    // bit-identical, `Partial` epochs must be sound under-approximations.
+    // The verification config carries no budgets: `Complete` epochs must
+    // carry the fresh answers exactly, `Partial` epochs must refine them.
     let observed = Arc::try_unwrap(observed).expect("readers joined").into_inner().unwrap();
     let mut complete_epochs = 0u64;
     let mut partial_epochs = 0u64;
@@ -255,11 +217,11 @@ fn stress(scheduler: SchedulerKind, batch_step_budget: Option<u64>) {
         match ep.snapshot.completeness() {
             Completeness::Complete => {
                 complete_epochs += 1;
-                assert_results_identical(&program, &fresh, ep.snapshot.result(), &label);
+                assert_answers_identical(&program, &ep.snapshot, &fresh, &label);
             }
             Completeness::Partial => {
                 partial_epochs += 1;
-                assert_partial_refines(&program, ep.snapshot.result(), &fresh, &label);
+                assert_partial_refines(&program, &ep.snapshot, &fresh, &label);
             }
         }
     }
@@ -289,7 +251,7 @@ fn stress_adaptive() {
 
 /// A tight per-batch step budget forces the writer through many
 /// partial-epoch publications on the way to each settled fixpoint; the
-/// partial epochs must refine, and the settled ones stay bit-identical.
+/// partial epochs must refine, and the settled ones stay identical.
 #[test]
 fn stress_adaptive_with_step_budget() {
     stress(SchedulerKind::Adaptive, Some(96));
